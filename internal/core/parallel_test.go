@@ -169,7 +169,7 @@ func TestWeightDecayPlumbed(t *testing.T) {
 	norm := func(w []float32) float64 {
 		var s float64
 		for _, v := range w {
-			s += float64(v) * float64(v)
+			s += float64(float64(v) * float64(v))
 		}
 		return s
 	}

@@ -91,11 +91,11 @@ func celebASplit(s *rng.Stream, pat *celebAPatterns, n int) *Split {
 	var males, olds []bool
 
 	for ci, cell := range celebACells() {
-		cellN := int(float64(n)*cell.frac + 0.5)
+		cellN := int(float64(float64(n)*cell.frac) + 0.5)
 		if cellN < 2 {
 			cellN = 2
 		}
-		pos := int(float64(cellN)*cell.posRate + 0.5)
+		pos := int(float64(float64(cellN)*cell.posRate) + 0.5)
 		if pos < 1 {
 			pos = 1
 		}

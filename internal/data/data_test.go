@@ -91,7 +91,7 @@ func TestClassesAreSeparable(t *testing.T) {
 			var dist float64
 			for j := 0; j < chw; j++ {
 				diff := float64(td[i*chw+j]) - means[k][j]
-				dist += diff * diff
+				dist += float64(diff * diff)
 			}
 			if dist < bestDist {
 				best, bestDist = k, dist

@@ -62,8 +62,8 @@ func makePrototypes(s *rng.Stream, cfg SynthConfig) []prototype {
 				amp := ps.Uniform(0.3, 1.0)
 				for y := 0; y < cfg.H; y++ {
 					for x := 0; x < cfg.W; x++ {
-						v := amp * math.Sin(2*math.Pi*(fx*float64(x)/float64(cfg.W)+
-							fy*float64(y)/float64(cfg.H))+phase)
+						v := amp * math.Sin(float64(2*math.Pi*(fx*float64(x)/float64(cfg.W)+
+							fy*float64(y)/float64(cfg.H)))+phase)
 						img[(c*cfg.H+y)*cfg.W+x] += float32(v)
 					}
 				}
@@ -106,7 +106,7 @@ func renderSample(s *rng.Stream, cfg SynthConfig, proto, neighbor, dst []float32
 			for xx := 0; xx < cfg.W; xx++ {
 				sx := clamp(xx+dx, 0, cfg.W-1)
 				src := (c*cfg.H+sy)*cfg.W + sx
-				v := (1-w)*proto[src] + w*neighbor[src]
+				v := float32((1-w)*proto[src]) + float32(w*neighbor[src])
 				dst[(c*cfg.H+yy)*cfg.W+xx] = v + float32(s.Norm()*cfg.Noise)
 			}
 		}

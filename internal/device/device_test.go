@@ -245,7 +245,7 @@ func TestFP16RoundProperties(t *testing.T) {
 		0.33325: 0.33325195, // representable half value nearby
 	}
 	for in, want := range cases {
-		if got := fp16Round(in); math.Abs(float64(got-want)) > 1e-4*math.Abs(float64(want))+1e-8 {
+		if got := fp16Round(in); math.Abs(float64(got-want)) > float64(1e-4*math.Abs(float64(want)))+1e-8 {
 			t.Errorf("fp16Round(%v) = %v, want ~%v", in, got, want)
 		}
 	}

@@ -38,7 +38,7 @@ func refMatMul(d *Device, entropy *rng.Stream, a, b *tensor.Tensor, transA, tran
 				}
 				brow := bd[kk*bn : (kk+1)*bn]
 				for j, bv := range brow {
-					crow[j] += av * fp16Round(bv)
+					crow[j] += float32(av * fp16Round(bv))
 				}
 			}
 		}
@@ -70,7 +70,7 @@ func refMatMul(d *Device, entropy *rng.Stream, a, b *tensor.Tensor, transA, tran
 				}
 				brow := bd[k*bn : (k+1)*bn]
 				for j, bv := range brow {
-					crow[j] += av * bv
+					crow[j] += float32(av * bv)
 				}
 			}
 		}

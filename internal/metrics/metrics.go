@@ -58,7 +58,7 @@ func L2Normalized(a, b []float32) float64 {
 	var sum float64
 	for i := range a {
 		d := float64(a[i])/na - float64(b[i])/nb
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return math.Sqrt(sum)
 }
@@ -66,7 +66,7 @@ func L2Normalized(a, b []float32) float64 {
 func norm(v []float32) float64 {
 	var s float64
 	for _, x := range v {
-		s += float64(x) * float64(x)
+		s += float64(float64(x) * float64(x))
 	}
 	return math.Sqrt(s)
 }
@@ -113,7 +113,9 @@ func Mean(xs []float64) float64 {
 	for _, v := range xs {
 		s += v
 	}
-	return s / float64(len(xs))
+	// Rounded explicitly: with a constant length the division becomes a
+	// reciprocal multiply, which must not fuse into a caller's subtraction.
+	return float64(s / float64(len(xs)))
 }
 
 // StdDev returns the population standard deviation (the paper reports
@@ -126,7 +128,7 @@ func StdDev(xs []float64) float64 {
 	var s float64
 	for _, v := range xs {
 		d := v - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s / float64(len(xs)))
 }

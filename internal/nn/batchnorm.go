@@ -134,8 +134,8 @@ func (b *BatchNorm) Forward(dev *device.Device, x *tensor.Tensor, train bool) *t
 		}
 		// Update running stats.
 		for i := range b.runMean {
-			b.runMean[i] = b.momentum*b.runMean[i] + (1-b.momentum)*mean[i]
-			b.runVar[i] = b.momentum*b.runVar[i] + (1-b.momentum)*variance[i]
+			b.runMean[i] = float32(b.momentum*b.runMean[i]) + float32((1-b.momentum)*mean[i])
+			b.runVar[i] = float32(b.momentum*b.runVar[i]) + float32((1-b.momentum)*variance[i])
 		}
 	} else {
 		mean, variance = b.runMean, b.runVar
@@ -160,7 +160,7 @@ func (b *BatchNorm) Forward(dev *device.Device, x *tensor.Tensor, train bool) *t
 			for i := 0; i < hw; i++ {
 				xh := (xd[base+i] - mu) * is
 				hd[base+i] = xh
-				od[base+i] = g*xh + be
+				od[base+i] = float32(g*xh) + be
 			}
 		}
 	}
@@ -212,7 +212,7 @@ func (b *BatchNorm) Backward(dev *device.Device, dy *tensor.Tensor) *tensor.Tens
 			sDy, sDyX := sumDy[ci], sumDyXhat[ci]
 			base := (ni*c + ci) * hw
 			for i := 0; i < hw; i++ {
-				dxd[base+i] = coef * (m*dyd[base+i] - sDy - hd[base+i]*sDyX)
+				dxd[base+i] = coef * (float32(m*dyd[base+i]) - sDy - float32(hd[base+i]*sDyX))
 			}
 		}
 	}

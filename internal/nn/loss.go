@@ -102,7 +102,7 @@ func SigmoidBCE(dev *device.Device, logits *tensor.Tensor, targets *tensor.Tenso
 			idx := i*k + j
 			z, t := float64(ld[idx]), float64(td[idx])
 			// loss = max(z,0) - z*t + log(1+exp(-|z|)) (stable form)
-			rowLoss += math.Max(z, 0) - z*t + math.Log1p(math.Exp(-math.Abs(z)))
+			rowLoss += math.Max(z, 0) - float64(z*t) + math.Log1p(math.Exp(-math.Abs(z)))
 			s := 1 / (1 + math.Exp(-z))
 			gd[idx] = float32(s-t) * invNK
 		}

@@ -31,7 +31,7 @@ func TestSoftmaxCEInPlaceMatchesReference(t *testing.T) {
 				ld := logits.Data()
 				labels := make([]int, n)
 				for i := range ld {
-					ld[i] = float32(s.Float64()*20 - 10)
+					ld[i] = float32(float64(s.Float64()*20) - 10)
 				}
 				for i := range labels {
 					labels[i] = s.Intn(k)

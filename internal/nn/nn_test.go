@@ -138,12 +138,12 @@ func TestBatchNormNormalizesBatch(t *testing.T) {
 			for i := 0; i < hw; i++ {
 				v := float64(y.Data()[base+i])
 				sum += v
-				sumSq += v * v
+				sumSq += float64(v * v)
 			}
 		}
 		m := float64(n * hw)
 		mean := sum / m
-		variance := sumSq/m - mean*mean
+		variance := sumSq/m - float64(mean*mean)
 		if math.Abs(mean) > 1e-4 {
 			t.Errorf("channel %d mean %v after BN", ci, mean)
 		}

@@ -74,7 +74,7 @@ func TestSGDStepFusedMatchesReference(t *testing.T) {
 				for pi := range a.Params() {
 					ga, gb := a.Params()[pi].Grad.Data(), b.Params()[pi].Grad.Data()
 					for i := range ga {
-						g := float32(gradStream.Float64()*2 - 1)
+						g := float32(float64(gradStream.Float64()*2) - 1)
 						ga[i], gb[i] = g, g
 					}
 				}

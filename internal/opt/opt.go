@@ -100,10 +100,11 @@ func NewSGD(momentum, weightDecay float64) *SGD {
 // traversals. Elements are independent, so fusing the passes per element
 // preserves the exact floating-point operation sequence of the unfused
 // form (decay into grad, scale velocity, add grad, apply update — each
-// intermediate rounded at a statement boundary, matching the old
-// AddScaled/Scale calls bit for bit; TestSGDStepFusedMatchesReference pins
-// this). Weight decay still writes the decayed gradient back, preserving
-// the observable Grad contents.
+// product explicitly rounded to float32 before it is added, so no build
+// fuses a multiply-add, matching the old AddScaled/Scale calls bit for
+// bit; TestSGDStepFusedMatchesReference pins this). Weight decay still
+// writes the decayed gradient back, preserving the observable Grad
+// contents.
 func (s *SGD) Step(params []*nn.Param, lr float64) {
 	wd := float32(s.WeightDecay)
 	m := float32(s.Momentum)
@@ -119,29 +120,29 @@ func (s *SGD) Step(params []*nn.Param, lr float64) {
 			vd := v.Data()
 			if s.WeightDecay != 0 {
 				for i := range pv {
-					gi := gd[i] + wd*pv[i]
+					gi := gd[i] + float32(wd*pv[i])
 					gd[i] = gi
-					vi := vd[i] * m
+					vi := float32(vd[i] * m)
 					vi += gi
 					vd[i] = vi
-					pv[i] += nlr * vi
+					pv[i] += float32(nlr * vi)
 				}
 			} else {
 				for i := range pv {
-					vi := vd[i] * m
+					vi := float32(vd[i] * m)
 					vi += gd[i]
 					vd[i] = vi
-					pv[i] += nlr * vi
+					pv[i] += float32(nlr * vi)
 				}
 			}
 		} else if s.WeightDecay != 0 {
 			for i := range pv {
-				gd[i] += wd * pv[i]
-				pv[i] += nlr * gd[i]
+				gd[i] += float32(wd * pv[i])
+				pv[i] += float32(nlr * gd[i])
 			}
 		} else {
 			for i := range pv {
-				pv[i] += nlr * gd[i]
+				pv[i] += float32(nlr * gd[i])
 			}
 		}
 	}

@@ -37,8 +37,8 @@ func TestSGDMomentumAccumulates(t *testing.T) {
 	for k := 0; k < 5; k++ {
 		p.Grad.Fill(1)
 		s.Step([]*nn.Param{p}, 0.1)
-		wantVel = 0.9*wantVel + 1
-		wantPos -= 0.1 * wantVel
+		wantVel = float64(0.9*wantVel) + 1
+		wantPos -= float64(0.1 * wantVel)
 		p.Grad.Fill(0) // caller zeroes between accumulations
 	}
 	if got := float64(p.Value.Data()[0]); math.Abs(got-wantPos) > 1e-5 {

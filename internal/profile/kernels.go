@@ -88,7 +88,7 @@ func convKernels(l models.LayerSpec, p archParams, mode device.Mode, b float64) 
 	// Forward conv is deterministic in both modes; dgrad pays the penalty;
 	// wgrad (the atomics-heavy kernel) pays 1.5× the excess.
 	dgradPenalty := penalty
-	wgradPenalty := 1 + (penalty-1)*1.5
+	wgradPenalty := 1 + float64((penalty-1)*1.5)
 	return []KernelTime{
 		{Name: name("fprop"), Millis: flopsMillis(fwd, p.flops)},
 		{Name: name("dgrad"), Millis: flopsMillis(fwd, p.flops) * dgradPenalty},

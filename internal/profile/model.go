@@ -64,8 +64,8 @@ func (a archParams) convPenalty(k float64) float64 {
 	if k <= 1 {
 		return 1 // 1×1 convolutions are plain GEMM: deterministic either way
 	}
-	kk := k * k
-	return 1 + (a.convPenaltyMax-1)*math.Pow((kk-1)/48, a.convExp)
+	kk := float64(k * k)
+	return 1 + float64((a.convPenaltyMax-1)*math.Pow((kk-1)/48, a.convExp))
 }
 
 // KernelTime is one aggregated kernel row of a profile.
@@ -129,7 +129,7 @@ func Graph(g *models.Graph, arch device.Arch, mode device.Mode, opts Options) (*
 	prof := &Profile{Model: g.Name, Arch: arch, Mode: mode, Batch: opts.Batch, Steps: opts.Steps}
 	for name, ms := range agg {
 		prof.Kernels = append(prof.Kernels, KernelTime{Name: name, Millis: ms * float64(opts.Steps)})
-		prof.Total += ms * float64(opts.Steps)
+		prof.Total += float64(ms * float64(opts.Steps))
 	}
 	sortKernels(prof.Kernels)
 	return prof, nil

@@ -12,7 +12,7 @@ func (s *Stream) FillUniform(dst []float32, lo, hi float64) {
 // FillNorm fills dst with N(mean, std^2) draws.
 func (s *Stream) FillNorm(dst []float32, mean, std float64) {
 	for i := range dst {
-		dst[i] = float32(mean + std*s.Norm())
+		dst[i] = float32(mean + float64(std*s.Norm()))
 	}
 }
 

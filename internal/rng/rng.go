@@ -157,7 +157,9 @@ func (s *Stream) Intn(n int) int {
 
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
 func (s *Stream) Float64() float64 {
-	return float64(s.Uint64()>>11) * (1.0 / (1 << 53))
+	// Rounded explicitly, like every product in this module, so no build
+	// fuses it into a caller's add (DESIGN.md §14).
+	return float64(float64(s.Uint64()>>11) * (1.0 / (1 << 53)))
 }
 
 // Float32 returns a uniform float32 in [0, 1).
@@ -167,7 +169,7 @@ func (s *Stream) Float32() float32 {
 
 // Uniform returns a uniform float64 in [lo, hi).
 func (s *Stream) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.Float64()
+	return lo + float64((hi-lo)*s.Float64())
 }
 
 // Norm returns a standard normal draw using Box-Muller (deterministic,

@@ -143,10 +143,10 @@ func TestNormMoments(t *testing.T) {
 	for i := 0; i < n; i++ {
 		v := s.Norm()
 		sum += v
-		sumSq += v * v
+		sumSq += float64(v * v)
 	}
 	mean := sum / n
-	variance := sumSq/n - mean*mean
+	variance := sumSq/n - float64(mean*mean)
 	if math.Abs(mean) > 0.02 {
 		t.Errorf("Norm mean = %v, want ~0", mean)
 	}
@@ -226,11 +226,11 @@ func TestHeNormalStd(t *testing.T) {
 	var sum, sumSq float64
 	for _, v := range dst {
 		sum += float64(v)
-		sumSq += float64(v) * float64(v)
+		sumSq += float64(float64(v) * float64(v))
 	}
 	n := float64(len(dst))
 	mean := sum / n
-	std := math.Sqrt(sumSq/n - mean*mean)
+	std := math.Sqrt(sumSq/n - float64(mean*mean))
 	want := math.Sqrt(2.0 / 50.0)
 	if math.Abs(std-want)/want > 0.05 {
 		t.Fatalf("He std = %v, want ~%v", std, want)

@@ -110,7 +110,7 @@ func (l *rateLimiter) allow(client string, now time.Time) (ok bool, retryAfter t
 		l.clients[client] = b
 	}
 	if dt := now.Sub(b.last).Seconds(); dt > 0 {
-		b.tokens = math.Min(l.burst, b.tokens+dt*l.rate)
+		b.tokens = math.Min(l.burst, b.tokens+float64(dt*l.rate))
 	}
 	b.last = now
 	l.sweepLocked(now)

@@ -131,7 +131,7 @@ func quantile(bounds []time.Duration, counts []int64, total int64, p float64) fl
 	if total == 0 {
 		return 0
 	}
-	rank := p * float64(total)
+	rank := float64(p * float64(total))
 	var cum int64
 	for i, c := range counts {
 		prev := cum
@@ -145,7 +145,7 @@ func quantile(bounds []time.Duration, counts []int64, total int64, p float64) fl
 		}
 		hi := boundMillis(bounds, i)
 		frac := (rank - float64(prev)) / float64(c)
-		return lo + (hi-lo)*frac
+		return lo + float64((hi-lo)*frac)
 	}
 	return boundMillis(bounds, len(counts)-1)
 }

@@ -182,7 +182,7 @@ func (t *Tensor) Zero() { t.Fill(0) }
 func (t *Tensor) AddScaled(alpha float32, u *Tensor) {
 	mustSameLen(t, u)
 	for i, v := range u.data {
-		t.data[i] += alpha * v
+		t.data[i] += float32(alpha * v)
 	}
 }
 
