@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -60,15 +61,26 @@ func TestTrainUnitRefusesDivergedUnit(t *testing.T) {
 }
 
 // recordingExecutor captures the units a population dispatches and
-// answers them locally.
+// answers them locally. Replicas train concurrently, so Train and
+// seen serialize on mu.
 type recordingExecutor struct {
 	inner LocalExecutor
+	mu    sync.Mutex
 	units []WorkUnit
 }
 
 func (r *recordingExecutor) Train(ctx context.Context, u WorkUnit) (*core.RunResult, error) {
+	r.mu.Lock()
 	r.units = append(r.units, u)
+	r.mu.Unlock()
 	return r.inner.Train(ctx, u)
+}
+
+// seen returns a copy of the units dispatched so far.
+func (r *recordingExecutor) seen() []WorkUnit {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]WorkUnit(nil), r.units...)
 }
 
 // TestExecutorReceivesMissesOnly proves the extraction point sits
@@ -95,20 +107,20 @@ func TestExecutorReceivesMissesOnly(t *testing.T) {
 	if len(pop) != 3 {
 		t.Fatalf("population size %d, want 3", len(pop))
 	}
-	if len(exec.units) != 2 {
-		t.Fatalf("executor saw %d units, want 2 (replica 0 was a ledger hit)", len(exec.units))
+	units := exec.seen()
+	if len(units) != 2 {
+		t.Fatalf("executor saw %d units, want 2 (replica 0 was a ledger hit)", len(units))
 	}
-	for _, u := range exec.units {
+	for _, u := range units {
 		if u.Replica == 0 {
 			t.Fatal("executor dispatched a replica the ledger already held")
 		}
 	}
 	// Everything is merged: a repeat request dispatches nothing.
-	seen := len(exec.units)
 	if _, _, err := p.population(context.Background(), nil, cfg, task, device.V100, core.Impl); err != nil {
 		t.Fatal(err)
 	}
-	if len(exec.units) != seen {
+	if len(exec.seen()) != len(units) {
 		t.Fatal("repeat request re-dispatched merged replicas")
 	}
 	// And executor results are bit-identical to local training.
