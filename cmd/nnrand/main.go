@@ -88,13 +88,13 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/device"
+	"repro/internal/durable"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
 	"repro/internal/grid"
 	"repro/internal/jobs"
 	"repro/internal/ledger"
 	"repro/internal/loadtest"
-	"repro/internal/quarantine"
 	"repro/internal/report"
 	"repro/internal/sched"
 	"repro/internal/server"
@@ -760,9 +760,9 @@ func ledgerCmd(args []string) error {
 		if err := tb.Render(os.Stdout); err != nil {
 			return err
 		}
-		if n := quarantine.Count(*dir); n > 0 {
+		if n := durable.QuarantineCount(*dir); n > 0 {
 			fmt.Fprintf(os.Stderr, "nnrand: %d corrupt record(s) in %s — inspect the .reason files\n",
-				n, filepath.Join(*dir, quarantine.Dir))
+				n, filepath.Join(*dir, durable.QuarantineDir))
 		}
 		return nil
 	case "gc":

@@ -36,16 +36,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/experiments"
-	"repro/internal/quarantine"
 )
 
 // Executor is the seam the coordinator plugs into: an alias for the
@@ -110,8 +108,8 @@ type Options struct {
 	// next lease request.
 	TTL time.Duration
 	// Dir, when set, is where rejected uploads are preserved: a payload
-	// that fails CRC or unit verification is written there and moved to
-	// its quarantine/ subdirectory with a reason sidecar. Empty drops
+	// that fails CRC or unit verification is written to its quarantine/
+	// subdirectory with a reason sidecar (internal/durable). Empty drops
 	// rejected payloads (they are still counted and refused).
 	Dir string
 }
@@ -454,14 +452,7 @@ func (c *Coordinator) reject(id string, raw []byte, reason string) {
 	if dir == "" || len(raw) == 0 {
 		return
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return
-	}
-	name := fmt.Sprintf("%s-upload-%d.bin", id, seq)
-	if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
-		return
-	}
-	_ = quarantine.Move(dir, name, reason)
+	_ = durable.Quarantine(dir, fmt.Sprintf("%s-upload-%d.bin", id, seq), raw, reason)
 }
 
 // Stats is the coordinator's observable state for /v1/stats.

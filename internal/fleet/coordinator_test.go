@@ -9,8 +9,8 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/experiments"
-	"repro/internal/quarantine"
 )
 
 // testUnit is a synthetic work unit; coordinator tests never resolve or
@@ -209,7 +209,7 @@ func TestTornUploadQuarantined(t *testing.T) {
 	if _, err := c.CompleteUpload("w1", got.ID, cell, res, derr, torn); err == nil {
 		t.Fatal("torn upload accepted")
 	}
-	if n := quarantine.Count(dir); n != 1 {
+	if n := durable.QuarantineCount(dir); n != 1 {
 		t.Fatalf("quarantined %d payloads, want 1", n)
 	}
 	if s := c.Stats(); s.RejectedUploads != 1 || s.CompletedUnits != 0 {

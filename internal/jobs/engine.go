@@ -428,48 +428,63 @@ func (e *Engine) SubmitTask(label, key string, cfg experiments.Config, payload j
 	return e.submit(label, key, cfg, true, run, payload)
 }
 
-func (e *Engine) submit(experiment, key string, cfg experiments.Config, detached bool, run func(context.Context) (*report.Result, error), payload json.RawMessage) (*Job, error) {
+func (e *Engine) submit(experiment, key string, cfg experiments.Config, detached bool, run func(context.Context) (*report.Result, error), payload json.RawMessage) (j *Job, err error) {
 	// Probe the store before taking the engine lock: a cold key may lazily
 	// load its file from disk, and that I/O must not stall every other
 	// engine operation. A result stored between this miss and execution is
 	// still caught by the worker-side re-check.
 	stored, hit := e.store.Get(key)
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	admit := func() bool {
+		j, err = e.admitLocked(experiment, key, cfg, detached, run, stored, hit)
+		return err == nil
+	}
+	if e.journal == nil || !detached || hit {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		admit()
+		return j, err
+	}
+	// A live detached job is durable: its journal entry is written and
+	// synced before the engine lock is taken and renamed into place under
+	// it, once the job is admitted — so the rename is ordered against the
+	// Remove in journalForget — and the directory sync follows the unlock;
+	// no disk wait holds the lock. Best-effort: a failed journal write
+	// degrades crash durability, not the run itself — the disk problem
+	// surfaces through /v1/readyz, not by refusing work.
+	kind := KindExperiment
+	if run != nil {
+		kind = KindTask
+	}
+	_ = e.journal.record(journalEntry(kind, experiment, key, cfg, payload), &e.mu, admit)
+	return j, err
+}
+
+// admitLocked joins the live job for key, completes a stored result as a
+// cached job, or queues a new job. Callers hold e.mu.
+func (e *Engine) admitLocked(experiment, key string, cfg experiments.Config, detached bool, run func(context.Context) (*report.Result, error), stored *report.Result, hit bool) (*Job, error) {
 	if e.closed || e.draining {
 		return nil, sched.ErrQueueClosed
 	}
 	if j, ok := e.byKey[key]; ok {
-		// Join the live job for this key.
+		// Join the live job for this key. A detached join makes the job
+		// survive its waiters (and submit journals it).
 		j.mu.Lock()
-		upgraded := detached && !j.detached
 		if detached {
 			j.detached = true
 		} else {
 			j.waiters++
 		}
 		j.mu.Unlock()
-		if upgraded {
-			// The job just became detached — it now survives its waiters, so
-			// it becomes durable like any other detached submission.
-			e.journalRecordLocked(j)
-		}
 		return j, nil
 	}
 	e.seq++
 	id := fmt.Sprintf("job-%06d", e.seq)
 	ctx, cancel := context.WithCancel(context.Background())
-	kind := KindExperiment
-	if run != nil {
-		kind = KindTask
-	}
 	j := &Job{
 		id:         id,
 		experiment: experiment,
 		cfg:        cfg,
 		key:        key,
-		kind:       kind,
-		payload:    payload,
 		engine:     e,
 		ctx:        ctx,
 		cancel:     cancel,
@@ -509,22 +524,7 @@ func (e *Engine) submit(experiment, key string, cfg experiments.Config, detached
 	}
 	e.jobs[id] = j
 	e.byKey[key] = j
-	if detached {
-		e.journalRecordLocked(j)
-	}
 	return j, nil
-}
-
-// journalRecordLocked durably records j's submission. Best-effort: a
-// failed journal write degrades crash durability, not the run itself —
-// the disk problem surfaces through /v1/readyz, not by refusing work.
-// Callers hold e.mu, which orders Record against the Remove in finish
-// for the same key.
-func (e *Engine) journalRecordLocked(j *Job) {
-	if e.journal == nil {
-		return
-	}
-	_ = e.journal.Record(journalEntry(j.kind, j.experiment, j.key, j.cfg, j.payload))
 }
 
 // journalForget settles j's journal entry after a terminal transition —
@@ -742,8 +742,6 @@ type Job struct {
 	experiment string
 	cfg        experiments.Config
 	key        string
-	kind       string          // KindExperiment or KindTask, for the journal
-	payload    json.RawMessage // task recovery spec, for the journal
 	engine     *Engine
 	ctx        context.Context
 	cancel     context.CancelFunc

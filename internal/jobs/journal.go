@@ -2,18 +2,14 @@ package jobs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
+	"io"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/data"
+	"repro/internal/durable"
 	"repro/internal/experiments"
-	"repro/internal/faults"
-	"repro/internal/quarantine"
 )
 
 // Journal entry kinds.
@@ -72,76 +68,53 @@ func journalEntry(kind, experiment, key string, cfg experiments.Config, payload 
 }
 
 // Journal is the durable job journal: one JSON file per non-terminal
-// job, keyed (and named) by the job's result key, published by
-// write-to-temp + atomic rename. The engine records an entry when a job
-// is queued and removes it when the job reaches a genuine terminal state
-// (done, failed, or user-cancelled) — but NOT when a shutdown or drain
-// cancels it, so `serve -resume` after a crash *or* a graceful restart
-// resubmits exactly the work that was still owed. Entries that fail to
-// decode are quarantined, never deleted.
+// job, keyed (and named) by the job's result key, published through
+// internal/durable (temp file, fsync, rename, directory fsync). The
+// engine records an entry when a job is queued and removes it when the
+// job reaches a genuine terminal state (done, failed, or user-cancelled)
+// — but NOT when a shutdown or drain cancels it, so `serve -resume`
+// after a crash *or* a graceful restart resubmits exactly the work that
+// was still owed. Entries that fail to decode are quarantined, never
+// deleted.
 //
 // A Journal is safe for concurrent use.
 type Journal struct {
-	mu  sync.Mutex
-	dir string
-
-	quarantined atomic.Int64
+	mu   sync.Mutex
+	disk *durable.Dir
 }
 
-// OpenJournal returns a journal over dir, creating it if needed. The
-// server places it next to the result store (a subdirectory, so the
-// store's own directory scan never mistakes entries for results).
+// OpenJournal returns a journal over dir, creating it if needed and
+// quarantining temp files a crashed writer left behind. The server
+// places it next to the result store (a subdirectory, so the store's own
+// directory scan never mistakes entries for results).
 func OpenJournal(dir string) (*Journal, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("jobs: journal needs a directory")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("jobs: opening journal: %w", err)
+	disk, err := durable.Open(dir, "journal", ".json")
+	if err != nil {
+		return nil, err
 	}
-	return &Journal{dir: dir}, nil
+	return &Journal{disk: disk}, nil
 }
 
 // Dir reports the backing directory.
-func (j *Journal) Dir() string { return j.dir }
+func (j *Journal) Dir() string { return j.disk.Path() }
 
 // Quarantined reports how many undecodable entries this journal has
 // moved aside since it was opened.
-func (j *Journal) Quarantined() int64 { return j.quarantined.Load() }
+func (j *Journal) Quarantined() int64 { return j.disk.Quarantined() }
 
 // Record persists entry under its key, replacing any previous entry for
-// that key. The write is atomic (temp + rename); the "journal.write"
-// fault point can fail or tear it.
-func (j *Journal) Record(e JournalEntry) error {
-	if e.Key == "" || strings.ContainsAny(e.Key, "/\\") || strings.HasPrefix(e.Key, ".") {
-		return fmt.Errorf("jobs: invalid journal key %q", e.Key)
-	}
-	b, err := json.MarshalIndent(e, "", "  ")
-	if err != nil {
-		return fmt.Errorf("jobs: encoding journal entry %q: %w", e.Key, err)
-	}
-	b = append(b, '\n')
-	b, injErr := faults.FireWrite("journal.write", b)
-	if injErr != nil {
-		return fmt.Errorf("jobs: journaling %q: %w", e.Key, injErr)
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	tmp, err := os.CreateTemp(j.dir, tmpPrefix+"entry-*")
-	if err != nil {
-		return fmt.Errorf("jobs: journaling %q: %w", e.Key, err)
-	}
-	_, werr := tmp.Write(b)
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), j.path(e.Key))
-	}
-	if werr != nil {
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("jobs: journaling %q: %w", e.Key, werr)
-	}
-	return nil
+// that key. The write is durable (see internal/durable); the
+// "journal.write" fault point can fail or tear it.
+func (j *Journal) Record(e JournalEntry) error { return j.record(e, &j.mu, nil) }
+
+// record persists entry with its rename under mu, and only if publish
+// (nil: always) returns true under mu — the engine passes its own lock
+// and admission, so the rename is ordered against the engine's Removes.
+func (j *Journal) record(e JournalEntry, mu sync.Locker, publish func() bool) error {
+	return j.disk.Put(e.Key, encodeJSON(e), mu, publish)
 }
 
 // Remove forgets the entry for key (no-op when none exists). Removal is
@@ -151,7 +124,7 @@ func (j *Journal) Record(e JournalEntry) error {
 func (j *Journal) Remove(key string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	_ = os.Remove(j.path(key))
+	j.disk.Remove(key)
 }
 
 // Len counts the journaled entries (diagnostics and tests).
@@ -165,51 +138,31 @@ func (j *Journal) Len() int {
 
 // Entries returns every decodable journal entry, oldest first (by file
 // modification time), so recovery resubmits in roughly original
-// submission order. Leftover temp files and entries that fail to decode
-// are quarantined and skipped.
+// submission order. Entries that fail to decode are quarantined and
+// skipped; so, for this call only, are entries the filesystem fails to
+// read ("journal.read" fault point).
 func (j *Journal) Entries() ([]JournalEntry, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	files, err := os.ReadDir(j.dir)
+	keys, err := j.disk.Keys()
 	if err != nil {
-		return nil, fmt.Errorf("jobs: scanning journal: %w", err)
+		return nil, err
 	}
-	type onDisk struct {
-		name string
-		mod  int64
-	}
-	var found []onDisk
-	for _, f := range files {
-		name := f.Name()
-		if f.IsDir() {
-			continue
-		}
-		if strings.HasPrefix(name, tmpPrefix) {
-			j.quarantineFile(name, "orphaned temp file from an interrupted write")
-			continue
-		}
-		if !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		info, err := f.Info()
-		if err != nil {
-			continue
-		}
-		found = append(found, onDisk{name, info.ModTime().UnixNano()})
-	}
-	sort.Slice(found, func(i, k int) bool { return found[i].mod < found[k].mod })
 	var out []JournalEntry
-	for _, f := range found {
-		b, err := os.ReadFile(filepath.Join(j.dir, f.name))
-		if err != nil {
-			continue
-		}
+	for _, key := range keys {
 		var e JournalEntry
-		if err := json.Unmarshal(b, &e); err != nil || e.Key == "" || e.Kind == "" {
-			j.quarantineFile(f.name, fmt.Sprintf("journal entry failed to decode: %v", err))
-			continue
+		err := j.disk.Load(key, func(r io.Reader) error {
+			if err := decodeJSON(&e)(r); err != nil {
+				return err
+			}
+			if e.Key == "" || e.Kind == "" {
+				return errors.New("entry has no key or kind")
+			}
+			return nil
+		})
+		if err == nil {
+			out = append(out, e)
 		}
-		out = append(out, e)
 	}
 	return out, nil
 }
@@ -218,25 +171,4 @@ func (j *Journal) Entries() ([]JournalEntry, error) {
 // layer's readiness check (a journal that cannot record makes every
 // detached submit fail, so readiness must surface it). The
 // "journal.probe" fault point can force a failure.
-func (j *Journal) Writable() error {
-	if err := faults.Fire("journal.probe"); err != nil {
-		return err
-	}
-	f, err := os.CreateTemp(j.dir, tmpPrefix+"probe-*")
-	if err != nil {
-		return fmt.Errorf("jobs: journal %s not writable: %w", j.dir, err)
-	}
-	name := f.Name()
-	f.Close()
-	_ = os.Remove(name)
-	return nil
-}
-
-// quarantine an undecodable entry. Callers hold j.mu.
-func (j *Journal) quarantineFile(name, reason string) {
-	if err := quarantine.Move(j.dir, name, reason); err == nil {
-		j.quarantined.Add(1)
-	}
-}
-
-func (j *Journal) path(key string) string { return filepath.Join(j.dir, key+".json") }
+func (j *Journal) Writable() error { return j.disk.Probe() }

@@ -11,9 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/experiments"
 	"repro/internal/faults"
-	"repro/internal/quarantine"
 	"repro/internal/report"
 )
 
@@ -99,10 +99,10 @@ func TestJournalQuarantinesCorruptEntries(t *testing.T) {
 	if len(entries) != 1 || entries[0].Key != "fig1-test-r1-s7" {
 		t.Fatalf("entries = %+v", entries)
 	}
-	if j.Quarantined() != 1 || quarantine.Count(j.Dir()) != 1 {
-		t.Fatalf("quarantined = %d, on disk = %d", j.Quarantined(), quarantine.Count(j.Dir()))
+	if j.Quarantined() != 1 || durable.QuarantineCount(j.Dir()) != 1 {
+		t.Fatalf("quarantined = %d, on disk = %d", j.Quarantined(), durable.QuarantineCount(j.Dir()))
 	}
-	if reason := quarantine.Reason(j.Dir(), "torn.json"); reason == "" {
+	if reason := durable.QuarantineReason(j.Dir(), "torn.json"); reason == "" {
 		t.Fatal("no quarantine reason recorded")
 	}
 }
@@ -535,5 +535,26 @@ func TestDrainDeadlineCancelsAndPreserves(t *testing.T) {
 	}
 	if journal.Len() != 1 {
 		t.Fatal("drain-cancelled job lost its journal entry")
+	}
+}
+
+// TestJournalSkipsRefusedSubmission: a detached submission the engine
+// refuses leaves no journal entry and no temp file behind — the entry is
+// written before the engine lock but published only on admission.
+func TestJournalSkipsRefusedSubmission(t *testing.T) {
+	journal := newTestJournal(t)
+	e := newTestEngine(t, Options{Journal: journal, Run: func(ctx context.Context, id string, cfg experiments.Config) (*report.Result, error) {
+		return stubResult(id), nil
+	}})
+	e.Close()
+	if _, err := e.Submit("fig1", testConfig()); err == nil {
+		t.Fatal("closed engine accepted a submission")
+	}
+	files, err := os.ReadDir(journal.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 0 {
+		t.Fatalf("refused submission left %v in the journal", files)
 	}
 }

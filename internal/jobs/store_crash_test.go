@@ -7,8 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/durable"
 	"repro/internal/faults"
-	"repro/internal/quarantine"
 )
 
 // TestStoreTornWriteQuarantinedOnReread: a torn result write (published
@@ -36,10 +36,10 @@ func TestStoreTornWriteQuarantinedOnReread(t *testing.T) {
 	if _, ok := s2.Get("fig1-test-r1-s7"); ok {
 		t.Fatal("torn result served")
 	}
-	if s2.Quarantined() != 1 || quarantine.Count(dir) != 1 {
-		t.Fatalf("quarantined = %d, on disk = %d, want 1 and 1", s2.Quarantined(), quarantine.Count(dir))
+	if s2.Quarantined() != 1 || durable.QuarantineCount(dir) != 1 {
+		t.Fatalf("quarantined = %d, on disk = %d, want 1 and 1", s2.Quarantined(), durable.QuarantineCount(dir))
 	}
-	if reason := quarantine.Reason(dir, "fig1-test-r1-s7.json"); !strings.Contains(reason, "decode") {
+	if reason := durable.QuarantineReason(dir, "fig1-test-r1-s7.json"); !strings.Contains(reason, "decode") {
 		t.Fatalf("reason = %q", reason)
 	}
 
@@ -70,8 +70,8 @@ func TestStoreQuarantinesOrphanedTemp(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatalf("orphaned temp file indexed: len %d", s.Len())
 	}
-	if s.Quarantined() != 1 || quarantine.Count(dir) != 1 {
-		t.Fatalf("quarantined = %d, on disk = %d", s.Quarantined(), quarantine.Count(dir))
+	if s.Quarantined() != 1 || durable.QuarantineCount(dir) != 1 {
+		t.Fatalf("quarantined = %d, on disk = %d", s.Quarantined(), durable.QuarantineCount(dir))
 	}
 }
 
@@ -143,5 +143,46 @@ func TestStoreQuarantineIsInvisibleToReindex(t *testing.T) {
 	}
 	if _, ok := s2.Get("bad-key"); ok {
 		t.Fatal("quarantined result served after reopen")
+	}
+}
+
+// tmpPrefix is the on-disk prefix of in-progress writes (internal/durable);
+// the format pins it, so tests spell it out.
+const tmpPrefix = ".tmp-"
+
+// TestStoreTransientReadErrorKeepsResult: a read the filesystem fails
+// (an armed "store.read" fault standing in for EMFILE, EACCES, EIO) is a
+// miss, not corruption — the healthy result stays indexed and on disk,
+// the next Get serves it, and nothing is quarantined.
+func TestStoreTransientReadErrorKeepsResult(t *testing.T) {
+	defer faults.Reset()
+	dir := t.TempDir()
+	s, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("fig1-test-r1-s7", stubResult("fig1")); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir, 0) // a cold index, so Get must read the disk
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults.Arm("store.read", faults.Injection{Count: 1})
+	if _, ok := s2.Get("fig1-test-r1-s7"); ok {
+		t.Fatal("Get hit through an armed read fault")
+	}
+	if res, ok := s2.Get("fig1-test-r1-s7"); !ok || res.Experiment != "fig1" {
+		t.Fatalf("second Get after a transient read error: ok=%v", ok)
+	}
+	if s2.Quarantined() != 0 || durable.QuarantineCount(dir) != 0 {
+		t.Fatalf("healthy result quarantined: %d, on disk %d", s2.Quarantined(), durable.QuarantineCount(dir))
+	}
+	s3, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s3.Get("fig1-test-r1-s7"); !ok {
+		t.Fatal("result lost across reopen after a transient read error")
 	}
 }

@@ -7,8 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/durable"
 	"repro/internal/faults"
-	"repro/internal/quarantine"
 )
 
 // TestTornWriteQuarantinedOnReread simulates the headline crash: a
@@ -41,11 +41,11 @@ func TestTornWriteQuarantinedOnReread(t *testing.T) {
 	if _, ok := l2.Get("c", 0); ok {
 		t.Fatal("torn record served")
 	}
-	if l2.Quarantined() != 1 || quarantine.Count(dir) != 1 {
-		t.Fatalf("quarantined = %d, on disk = %d, want 1 and 1", l2.Quarantined(), quarantine.Count(dir))
+	if l2.Quarantined() != 1 || durable.QuarantineCount(dir) != 1 {
+		t.Fatalf("quarantined = %d, on disk = %d, want 1 and 1", l2.Quarantined(), durable.QuarantineCount(dir))
 	}
 	name := stem("c", 0) + fileExt
-	if reason := quarantine.Reason(dir, name); !strings.Contains(reason, "decode") {
+	if reason := durable.QuarantineReason(dir, name); !strings.Contains(reason, "decode") {
 		t.Fatalf("reason = %q", reason)
 	}
 
@@ -63,8 +63,8 @@ func TestTornWriteQuarantinedOnReread(t *testing.T) {
 		t.Fatalf("re-put after quarantine: ok=%v res=%+v", ok, got)
 	}
 	// The quarantined evidence is still there.
-	if quarantine.Count(dir) != 1 {
-		t.Fatalf("quarantine count after recovery = %d", quarantine.Count(dir))
+	if durable.QuarantineCount(dir) != 1 {
+		t.Fatalf("quarantine count after recovery = %d", durable.QuarantineCount(dir))
 	}
 }
 
@@ -83,8 +83,8 @@ func TestCrashBetweenTempAndRename(t *testing.T) {
 	if l.Len() != 0 {
 		t.Fatalf("orphaned temp file indexed: len %d", l.Len())
 	}
-	if l.Quarantined() != 1 || quarantine.Count(dir) != 1 {
-		t.Fatalf("quarantined = %d, on disk = %d", l.Quarantined(), quarantine.Count(dir))
+	if l.Quarantined() != 1 || durable.QuarantineCount(dir) != 1 {
+		t.Fatalf("quarantined = %d, on disk = %d", l.Quarantined(), durable.QuarantineCount(dir))
 	}
 }
 
@@ -129,5 +129,49 @@ func TestWritableProbe(t *testing.T) {
 		if strings.HasPrefix(f.Name(), tmpPrefix) {
 			t.Fatalf("probe left %s behind", f.Name())
 		}
+	}
+}
+
+// tmpPrefix is the on-disk prefix of in-progress writes (internal/durable);
+// the format pins it, so tests spell it out.
+const tmpPrefix = ".tmp-"
+
+// path is where the record under key lives on disk.
+func (l *Ledger) path(key string) string { return filepath.Join(l.Dir(), key+fileExt) }
+
+// TestTransientReadErrorKeepsRecord: a read the filesystem fails (here
+// an armed "ledger.read" fault; in production EMFILE, EACCES, EIO) is a
+// miss, not corruption — the healthy record stays indexed and on disk,
+// so the next Get serves it, and nothing is quarantined.
+func TestTransientReadErrorKeepsRecord(t *testing.T) {
+	defer faults.Reset()
+	dir := t.TempDir()
+	l, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Put("c", 0, fakeResult(0)); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(dir, 0) // a cold index, so Get must read the disk
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults.Arm("ledger.read", faults.Injection{Count: 1})
+	if _, ok := l2.Get("c", 0); ok {
+		t.Fatal("Get hit through an armed read fault")
+	}
+	if got, ok := l2.Get("c", 0); !ok || !got.Equal(fakeResult(0)) {
+		t.Fatalf("second Get after a transient read error: ok=%v", ok)
+	}
+	if l2.Quarantined() != 0 || durable.QuarantineCount(dir) != 0 {
+		t.Fatalf("healthy record quarantined: %d, on disk %d", l2.Quarantined(), durable.QuarantineCount(dir))
+	}
+	l3, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := l3.Get("c", 0); !ok {
+		t.Fatal("record lost across reopen after a transient read error")
 	}
 }

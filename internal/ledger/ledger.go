@@ -8,12 +8,13 @@
 // seen.
 //
 // With a directory configured, every Put also persists the replica as a
-// checkpoint record (write-to-temp + atomic rename, content checksum) and
-// Open rebuilds the index from the directory in modification-time order —
-// a restarted process serves every replica it has ever trained without
-// retraining any of them. Eviction is LRU beyond the configured capacity
-// and unlinks the on-disk record, so the directory never outgrows the
-// bound either.
+// checkpoint record through internal/durable (temp file, fsync, rename,
+// directory fsync; content checksum) and Open rebuilds the index from the
+// directory in modification-time order — a restarted process, even one
+// restarted after power loss, serves every replica Put acknowledged
+// without retraining any of them. Eviction is LRU beyond the configured
+// capacity and unlinks the on-disk record, so the directory never
+// outgrows the bound either.
 //
 // Determinism contract: a replica's outcome is fully determined by its
 // cell key and index, so a record served from disk is bit-identical to
@@ -22,9 +23,11 @@
 //
 // Corruption degrades, it never destroys: a record that fails to decode
 // (torn write, bit rot) or carries an unparseable name is moved to a
-// quarantine/ subdirectory with a reason sidecar (internal/quarantine),
-// counted via Quarantined, and treated as a cache miss — the replica
-// retrains bit-identically and the evidence survives for diagnosis.
+// quarantine/ subdirectory with a reason sidecar, counted via
+// Quarantined, and treated as a cache miss — the replica retrains
+// bit-identically and the evidence survives for diagnosis. A read the
+// filesystem fails (an armed "ledger.read" fault, EMFILE, EIO) is a miss
+// that keeps the record: the next Get serves it.
 //
 // A Ledger is safe for concurrent use.
 package ledger
@@ -34,9 +37,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
+	"io"
 	"strconv"
 	"strings"
 	"sync"
@@ -44,9 +45,8 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
-	"repro/internal/faults"
+	"repro/internal/durable"
 	"repro/internal/lru"
-	"repro/internal/quarantine"
 )
 
 // DefaultCapacity bounds retained replicas when Open is given a
@@ -56,10 +56,6 @@ const DefaultCapacity = 1024
 
 // fileExt is the on-disk record suffix.
 const fileExt = ".nnr"
-
-// tmpPrefix marks in-progress writes; leftovers from a crashed writer
-// were never published and are quarantined on Open.
-const tmpPrefix = ".tmp-"
 
 // entry is one indexed replica. cell is "" and res nil for records known
 // only from the directory scan; Get loads and verifies them lazily.
@@ -71,19 +67,14 @@ type entry struct {
 
 // Ledger is the replica store. See the package comment for semantics.
 type Ledger struct {
-	mu  sync.Mutex
-	dir string // "" = memory-only
-	cap int
-	idx *lru.List[string, *entry]
+	mu   sync.Mutex
+	disk *durable.Dir // memory-only when opened on ""
+	cap  int
+	idx  *lru.List[string, *entry]
 
 	// trains counts replicas recorded via Put since open; restart tests
 	// use deltas to prove a warm ledger trains only what it has never seen.
 	trains atomic.Int64
-
-	// quarantined counts records moved aside (never deleted) because they
-	// failed to decode or carried an unparseable name — the observable
-	// trace of corruption the ledger degraded around.
-	quarantined atomic.Int64
 
 	// hits and misses count Get outcomes since open (a record that fails
 	// to load or collides counts as a miss — the caller retrains either
@@ -109,57 +100,26 @@ func Open(dir string, capacity int) (*Ledger, error) {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	l := &Ledger{dir: dir, cap: capacity, idx: lru.New[string, *entry]()}
-	if dir == "" {
-		return l, nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("ledger: opening %s: %w", dir, err)
-	}
-	entries, err := os.ReadDir(dir)
+	disk, err := durable.Open(dir, "ledger", fileExt)
 	if err != nil {
-		return nil, fmt.Errorf("ledger: scanning %s: %w", dir, err)
+		return nil, err
 	}
-	type onDisk struct {
-		stem    string
-		replica int
-		mod     int64
+	keys, err := disk.Keys()
+	if err != nil {
+		return nil, err
 	}
-	var found []onDisk
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() {
-			continue
-		}
-		if strings.HasPrefix(name, tmpPrefix) {
-			// A writer crashed between create and rename; the torn file was
-			// never published, so it cannot be served — but it is evidence
-			// of the crash, so it is preserved in quarantine, not deleted.
-			l.quarantineFile(name, "orphaned temp file from an interrupted write")
-			continue
-		}
-		stem, ok := strings.CutSuffix(name, fileExt)
+	l := &Ledger{disk: disk, cap: capacity, idx: lru.New[string, *entry]()}
+	for _, key := range keys { // oldest first, so the newest ends up MRU
+		rep, ok := replicaFromStem(key)
 		if !ok {
-			continue
-		}
-		rep, ok := replicaFromStem(stem)
-		if !ok {
-			// A .nnr file whose name does not parse can never be addressed;
+			// A record whose name does not parse can never be addressed;
 			// move it aside so the corruption is visible and counted.
-			l.quarantineFile(name, "unparseable record name")
+			disk.Quarantine(key, "unparseable record name")
 			continue
 		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		found = append(found, onDisk{stem, rep, info.ModTime().UnixNano()})
+		l.idx.PushFront(key, &entry{replica: rep})
 	}
-	sort.Slice(found, func(i, j int) bool { return found[i].mod < found[j].mod })
-	for _, f := range found { // oldest first, so the newest ends up MRU
-		l.idx.PushFront(f.stem, &entry{replica: f.replica})
-	}
-	l.evictOverCap()
+	l.evictTo(l.cap)
 	return l, nil
 }
 
@@ -187,7 +147,7 @@ func replicaFromStem(s string) (int, bool) {
 }
 
 // Dir reports the backing directory ("" when memory-only).
-func (l *Ledger) Dir() string { return l.dir }
+func (l *Ledger) Dir() string { return l.disk.Path() }
 
 // Len reports the number of indexed replicas.
 func (l *Ledger) Len() int {
@@ -204,46 +164,20 @@ func (l *Ledger) Trains() int64 { return l.trains.Load() }
 // quarantine since it was opened (reindex and read-time failures both
 // count). The files themselves sit under Dir()/quarantine with a reason
 // sidecar each.
-func (l *Ledger) Quarantined() int64 { return l.quarantined.Load() }
-
-// quarantineFile moves one corrupt file aside and counts it; a failed
-// move falls back to leaving the file in place (it will be skipped or
-// re-quarantined next time — never silently deleted).
-func (l *Ledger) quarantineFile(name, reason string) {
-	if l.dir == "" {
-		return
-	}
-	if err := quarantine.Move(l.dir, name, reason); err == nil {
-		l.quarantined.Add(1)
-	}
-}
+func (l *Ledger) Quarantined() int64 { return l.disk.Quarantined() }
 
 // Writable probes the backing directory for write access — the serve
 // layer's readiness check. A memory-only ledger is always writable.
-func (l *Ledger) Writable() error {
-	if err := faults.Fire("ledger.probe"); err != nil {
-		return err
-	}
-	if l.dir == "" {
-		return nil
-	}
-	f, err := os.CreateTemp(l.dir, tmpPrefix+"probe-*")
-	if err != nil {
-		return fmt.Errorf("ledger: %s not writable: %w", l.dir, err)
-	}
-	name := f.Name()
-	f.Close()
-	_ = os.Remove(name)
-	return nil
-}
+func (l *Ledger) Writable() error { return l.disk.Probe() }
 
 // Get returns the replica stored under (cell, index), loading and
 // checksum-verifying it from disk if it was indexed by Open but not yet
 // read. A hit refreshes the record's LRU position. A record that fails
-// to load, or whose stored cell key does not match (digest collision),
-// is dropped from the index and reported as a miss; a corrupt file is
-// moved to quarantine (with a reason sidecar) rather than deleted, so
-// one bad record degrades to a retrain, never to lost evidence.
+// to decode is moved to quarantine (with a reason sidecar) rather than
+// deleted and dropped from the index, so one bad record degrades to a
+// retrain, never to lost evidence. A read the filesystem fails, or a
+// record whose stored cell key does not match (digest collision), is a
+// miss that leaves the record indexed.
 func (l *Ledger) Get(cell string, replica int) (*core.RunResult, bool) {
 	key := stem(cell, replica)
 	l.mu.Lock()
@@ -254,14 +188,16 @@ func (l *Ledger) Get(cell string, replica int) (*core.RunResult, bool) {
 		return nil, false
 	}
 	if e.Value.res == nil {
-		gotCell, res, err := l.load(key)
+		var gotCell string
+		var res *core.RunResult
+		err := l.disk.Load(key, func(r io.Reader) (err error) {
+			gotCell, res, err = checkpoint.DecodeResult(r)
+			return err
+		})
 		if err != nil {
-			if !os.IsNotExist(err) {
-				// Corrupt (torn write, bit rot, checksum mismatch): keep the
-				// file for diagnosis, drop the index entry, report a miss.
-				l.quarantineFile(key+fileExt, fmt.Sprintf("record failed to decode: %v", err))
+			if durable.Gone(err) {
+				l.idx.Remove(e)
 			}
-			l.remove(e, false)
 			l.misses.Add(1)
 			return nil, false
 		}
@@ -311,100 +247,43 @@ func (l *Ledger) Warm(cell string, n int) int {
 
 // Put records a trained replica under (cell, index), evicting the least
 // recently used records (and their files) beyond capacity. With a
-// directory configured the record is also persisted atomically; the
-// in-memory index is updated even if the disk write fails, and the write
-// error is returned so callers can surface degraded durability.
+// directory configured the record is also persisted durably (see
+// internal/durable; encoding and both fsyncs run outside the index
+// lock); the in-memory index is updated even if the disk write fails,
+// and the write error is returned so callers can surface degraded
+// durability.
 func (l *Ledger) Put(cell string, replica int, res *core.RunResult) error {
 	if res == nil {
 		return fmt.Errorf("ledger: refusing to store nil replica %d of %q", replica, cell)
 	}
 	key := stem(cell, replica)
-	// Encode before taking the lock: serializing a weight vector is the
-	// CPU-heavy part of a Put, and concurrent replica resolutions must not
-	// serialize behind it.
-	var buf bytes.Buffer
-	var encErr error
-	if l.dir != "" {
-		encErr = checkpoint.EncodeResult(&buf, cell, res)
+	encode := func() ([]byte, error) {
+		var buf bytes.Buffer
+		err := checkpoint.EncodeResult(&buf, cell, res)
+		return buf.Bytes(), err
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if e, ok := l.idx.Get(key); ok {
-		e.Value.cell, e.Value.res = cell, res
-		l.idx.MoveToFront(e)
-	} else {
-		l.idx.PushFront(key, &entry{cell: cell, replica: replica, res: res})
-		l.evictOverCap()
-	}
-	l.trains.Add(1)
-	if l.dir == "" {
-		return nil
-	}
-	if encErr != nil {
-		return fmt.Errorf("ledger: persisting %s: %w", key, encErr)
-	}
-	// Publish (write + rename) while the lock is held so a concurrent
-	// eviction's unlink can never race the rename and resurrect an evicted
-	// record on disk.
-	return l.persist(key, buf.Bytes())
+	return l.disk.Put(key, encode, &l.mu, func() bool {
+		if e, ok := l.idx.Get(key); ok {
+			e.Value.cell, e.Value.res = cell, res
+			l.idx.MoveToFront(e)
+		} else {
+			l.idx.PushFront(key, &entry{cell: cell, replica: replica, res: res})
+			l.evictTo(l.cap)
+		}
+		l.trains.Add(1)
+		return true
+	})
 }
 
-// persist publishes an encoded record as {stem}.nnr with write-to-temp +
-// rename, so readers (including a future process) only ever observe
-// complete, checksummed files — unless the "ledger.write" fault point is
-// armed, which can fail the write outright or tear it (publish a
-// truncated record, simulating a filesystem that acknowledged a write it
-// never completed). Callers hold l.mu.
-func (l *Ledger) persist(key string, record []byte) error {
-	record, injErr := faults.FireWrite("ledger.write", record)
-	if injErr != nil {
-		return fmt.Errorf("ledger: persisting %s: %w", key, injErr)
+// evictTo drops the least recently used records, files included, until
+// at most n remain, and returns how many went. Callers hold l.mu.
+func (l *Ledger) evictTo(n int) (removed int) {
+	for ; l.idx.Len() > n; removed++ {
+		e := l.idx.Back()
+		l.idx.Remove(e)
+		l.disk.Remove(e.Key)
 	}
-	tmp, err := os.CreateTemp(l.dir, tmpPrefix+key+"-*")
-	if err != nil {
-		return fmt.Errorf("ledger: persisting %s: %w", key, err)
-	}
-	_, werr := tmp.Write(record)
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), l.path(key))
-	}
-	if werr != nil {
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("ledger: persisting %s: %w", key, werr)
-	}
-	return nil
-}
-
-func (l *Ledger) load(key string) (string, *core.RunResult, error) {
-	if err := faults.Fire("ledger.read"); err != nil {
-		return "", nil, err
-	}
-	f, err := os.Open(l.path(key))
-	if err != nil {
-		return "", nil, err
-	}
-	defer f.Close()
-	return checkpoint.DecodeResult(f)
-}
-
-func (l *Ledger) path(key string) string { return filepath.Join(l.dir, key+fileExt) }
-
-// remove unlinks e from the index; dropFile also removes its on-disk form.
-// Callers hold l.mu.
-func (l *Ledger) remove(e *lru.Entry[string, *entry], dropFile bool) {
-	l.idx.Remove(e)
-	if dropFile && l.dir != "" {
-		_ = os.Remove(l.path(e.Key))
-	}
-}
-
-func (l *Ledger) evictOverCap() {
-	for l.idx.Len() > l.cap {
-		l.remove(l.idx.Back(), true)
-	}
+	return removed
 }
 
 // GC evicts the least recently used records beyond keep (files included)
@@ -416,12 +295,7 @@ func (l *Ledger) GC(keep int) int {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	removed := 0
-	for l.idx.Len() > keep {
-		l.remove(l.idx.Back(), true)
-		removed++
-	}
-	return removed
+	return l.evictTo(keep)
 }
 
 // Reset drops the in-memory index (files are untouched). Tests use it to
@@ -459,26 +333,18 @@ func (l *Ledger) Entries() []Info {
 		if e.Value.res != nil {
 			info.TestAccuracy = e.Value.res.TestAccuracy
 		}
-		if l.dir != "" {
-			if st, err := os.Stat(l.path(e.Key)); err == nil {
+		if f, err := l.disk.Open(e.Key); err == nil {
+			if st, err := f.Stat(); err == nil {
 				info.Bytes = st.Size()
 			}
 			if e.Value.res == nil {
-				if cell, res, err := l.header(e.Key); err == nil {
+				if cell, res, err := checkpoint.DecodeResultHeader(f); err == nil {
 					info.Cell, info.Replica, info.TestAccuracy = cell, res.Replica, res.TestAccuracy
 				}
 			}
+			f.Close()
 		}
 		out = append(out, info)
 	}
 	return out
-}
-
-func (l *Ledger) header(key string) (string, *core.RunResult, error) {
-	f, err := os.Open(l.path(key))
-	if err != nil {
-		return "", nil, err
-	}
-	defer f.Close()
-	return checkpoint.DecodeResultHeader(f)
 }

@@ -10,11 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/fleet"
 	"repro/internal/jobs"
-	"repro/internal/quarantine"
 	"repro/internal/report"
 )
 
@@ -207,7 +207,7 @@ func TestFleetGridBitIdentical(t *testing.T) {
 	if stats.Fleet.RejectedUploads != 1 {
 		t.Fatalf("rejected uploads = %d, want 1 (the torn attempt)", stats.Fleet.RejectedUploads)
 	}
-	if n := quarantine.Count(filepath.Join(ledgerDir, "fleet")); n != 1 {
+	if n := durable.QuarantineCount(filepath.Join(ledgerDir, "fleet")); n != 1 {
 		t.Fatalf("quarantined payloads = %d, want 1", n)
 	}
 	if stats.Ledger.Replicas != 3 || stats.Ledger.Misses < 3 {
